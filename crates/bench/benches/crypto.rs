@@ -72,7 +72,7 @@ fn bench_open_batch(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(1);
     let recipient = KeyPair::generate(&mut rng);
     let message = vec![0xa5u8; 1024];
-    for &batch in &[4usize, 16, 64] {
+    for &batch in &[1usize, 4, 16, 64] {
         let sealed: Vec<Vec<u8>> = (0..batch)
             .map(|_| SealedBox::seal(&message, recipient.public(), &mut rng).unwrap())
             .collect();
@@ -89,10 +89,39 @@ fn bench_open_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// The sealing twin of `open_batch`: a batch of 1 KiB envelopes whose
+/// ephemeral keys derive together (`SealedBox::ephemerals`, one
+/// `x25519_many` call for every keygen and DH), then seal one by one.
+/// Batch size 1 is plain `SealedBox::seal`'s path. Throughput counts are
+/// per envelope, so each row reads directly against the `open_batch` row
+/// of the same size.
+fn bench_seal_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("crypto/seal_batch");
+    configure(&mut group);
+    let mut rng = StdRng::seed_from_u64(2);
+    let recipient = *KeyPair::generate(&mut rng).public();
+    let message = vec![0xa5u8; 1024];
+    for &batch in &[1usize, 4, 16, 64] {
+        let recipients = vec![recipient; batch];
+        group.throughput(Throughput::Elements(batch as u64));
+        group.bench_with_input(BenchmarkId::new("1024B", batch), &batch, |b, _| {
+            b.iter(|| {
+                SealedBox::ephemerals(&recipients, &mut rng)
+                    .unwrap()
+                    .into_iter()
+                    .map(|eph| eph.seal(&message).len())
+                    .sum::<usize>()
+            });
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_primitives,
     bench_sealed_box,
-    bench_open_batch
+    bench_open_batch,
+    bench_seal_batch
 );
 criterion_main!(benches);

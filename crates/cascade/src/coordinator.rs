@@ -861,6 +861,9 @@ impl CascadeCoordinator {
     /// slot by slot) — the same `rng` draws regardless of how the round is
     /// subsequently driven, so the sealed batches can feed either the
     /// optimistic concurrent attempt or the canonical sequential drive.
+    /// Each group's envelopes derive their ephemeral keys in one batch
+    /// ([`OnionUpdate::build_many`]), byte-identical to sealing slot by
+    /// slot with [`CascadeClient::seal_update`].
     /// An associated fn over the hop slice (not `&self`) so the pipelined
     /// worker tasks can call it without capturing the whole coordinator.
     fn seal_groups<R: Rng + ?Sized>(
@@ -875,15 +878,11 @@ impl CascadeCoordinator {
             .map(|group| {
                 let keys: Vec<PublicKey> =
                     group.route.iter().map(|&h| *hops[h].public_key()).collect();
-                let client = CascadeClient::from_keys(keys).with_compression(compression);
-                group
-                    .slots
+                let slots = group.slots.iter().map(|&s| &updates[s]);
+                OnionUpdate::build_many(slots, &keys, compression, rng)
+                    .expect("attested hop keys are never low-order")
                     .iter()
-                    .map(|&s| {
-                        client
-                            .seal_update(&updates[s], rng)
-                            .expect("attested hop keys are never low-order")
-                    })
+                    .map(OnionUpdate::encode)
                     .collect()
             })
             .collect()
@@ -1577,6 +1576,39 @@ mod tests {
                 ins,
                 "hop_count={hop_count}"
             );
+        }
+    }
+
+    #[test]
+    fn group_sealing_matches_slot_by_slot_seal_update() {
+        // Free routes give groups of different route lengths; batching a
+        // group's ephemerals must emit exactly the slot-by-slot onions and
+        // leave the participant RNG where they leave it.
+        let (cascade, _, _) = launch_with(
+            Box::new(FreeRoute::new(4, 1, 4, 55)),
+            FailurePolicy::Abort,
+            12,
+        );
+        let ins = updates(12);
+        let groups = cascade.active_groups(ins.len()).unwrap();
+        for compression in [CompressionConfig::F32, CompressionConfig::int8_top_k()] {
+            let mut rng = StdRng::seed_from_u64(77);
+            let mut one_rng = rng.clone();
+            let batched = CascadeCoordinator::seal_groups(
+                &cascade.hops,
+                &groups,
+                &ins,
+                compression,
+                &mut rng,
+            );
+            for (group, sealed) in groups.iter().zip(&batched) {
+                let keys = group.route.iter().map(|&h| *cascade.hops[h].public_key());
+                let client = CascadeClient::from_keys(keys.collect()).with_compression(compression);
+                for (&s, blob) in group.slots.iter().zip(sealed) {
+                    assert_eq!(blob, &client.seal_update(&ins[s], &mut one_rng).unwrap());
+                }
+            }
+            assert_eq!(rng, one_rng);
         }
     }
 

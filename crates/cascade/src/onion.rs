@@ -90,23 +90,66 @@ impl OnionUpdate {
         compression: CompressionConfig,
         rng: &mut R,
     ) -> Result<Self, CascadeError> {
+        let [onion]: [OnionUpdate; 1] = Self::build_many([params], hop_keys, compression, rng)?
+            .try_into()
+            .expect("one onion per update");
+        Ok(onion)
+    }
+
+    /// Builds one onion per update over the same chain, deriving every
+    /// envelope's ephemeral key in a single batch.
+    ///
+    /// An onion's envelopes do not depend on one another's ciphertext, so
+    /// the asymmetric half of all updates × layers × hops seals runs first
+    /// ([`SealedBox::ephemerals`]), then each layer's envelopes nest with
+    /// the symmetric half alone. The ephemeral secrets are drawn in the
+    /// order sequential building draws them — update by update, layer by
+    /// layer, innermost hop first — so the onions, and the `rng` position
+    /// afterwards, equal those of calling [`OnionUpdate::build_with`] per
+    /// update.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`OnionUpdate::build`]. Every ephemeral of the
+    /// batch is drawn before a low-order key is reported, so the `rng`
+    /// position after an error is unspecified.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`OnionUpdate::build`].
+    pub fn build_many<'a, R: Rng + ?Sized>(
+        updates: impl IntoIterator<Item = &'a ModelParams>,
+        hop_keys: &[PublicKey],
+        compression: CompressionConfig,
+        rng: &mut R,
+    ) -> Result<Vec<Self>, CascadeError> {
         assert!(!hop_keys.is_empty(), "onion needs at least one hop key");
         assert!(hop_keys.len() <= u8::MAX as usize, "chain too long");
-        let layers = params
+        let updates: Vec<&ModelParams> = updates.into_iter().collect();
+        let recipients: Vec<PublicKey> = updates
             .iter()
-            .map(|layer| {
-                let mut blob = codec::encode_layer_with(layer, compression);
-                for key in hop_keys.iter().rev() {
-                    blob = SealedBox::seal(&blob, key, rng)
-                        .map_err(|source| CascadeError::Seal { source })?;
-                }
-                Ok(blob)
+            .flat_map(|params| params.iter())
+            .flat_map(|_| hop_keys.iter().rev().copied())
+            .collect();
+        let mut ephemerals = SealedBox::ephemerals(&recipients, rng)
+            .map_err(|source| CascadeError::Seal { source })?
+            .into_iter();
+        Ok(updates
+            .into_iter()
+            .map(|params| OnionUpdate {
+                hops_remaining: hop_keys.len() as u8,
+                layers: params
+                    .iter()
+                    .map(|layer| {
+                        let plaintext = codec::encode_layer_with(layer, compression);
+                        ephemerals
+                            .by_ref()
+                            .take(hop_keys.len())
+                            .fold(plaintext, |blob, eph| eph.seal(&blob))
+                    })
+                    .collect(),
             })
-            .collect::<Result<_, CascadeError>>()?;
-        Ok(OnionUpdate {
-            hops_remaining: hop_keys.len() as u8,
-            layers,
-        })
+            .collect())
     }
 
     /// Reassembles an onion from already-processed parts (a hop re-framing
@@ -420,6 +463,50 @@ mod tests {
                 assert_eq!(la.len(), lb.len(), "{}", mode.name());
             }
             assert_eq!(oa.encode().len(), ob.encode().len(), "{}", mode.name());
+        }
+    }
+
+    #[test]
+    fn build_many_matches_building_one_by_one() {
+        let mut rng = StdRng::seed_from_u64(9);
+        let keys: Vec<PublicKey> = (0..3)
+            .map(|_| *KeyPair::generate(&mut rng).public())
+            .collect();
+        let updates: Vec<ModelParams> = (0..5)
+            .map(|i| {
+                ModelParams::from_layers(vec![
+                    LayerParams::from_values(vec![i as f32; 3]),
+                    LayerParams::from_values(vec![-(i as f32); 7]),
+                ])
+            })
+            .collect();
+        for mode in [CompressionConfig::F32, CompressionConfig::int8_top_k()] {
+            let mut one_rng = rng.clone();
+            let batched = OnionUpdate::build_many(&updates, &keys, mode, &mut rng).unwrap();
+            let one_by_one: Vec<OnionUpdate> = updates
+                .iter()
+                .map(|p| OnionUpdate::build_with(p, &keys, mode, &mut one_rng).unwrap())
+                .collect();
+            assert_eq!(batched, one_by_one, "{}", mode.name());
+            assert_eq!(rng, one_rng, "{}", mode.name());
+        }
+        assert!(
+            OnionUpdate::build_many([], &keys, CompressionConfig::F32, &mut rng)
+                .unwrap()
+                .is_empty()
+        );
+    }
+
+    #[test]
+    fn low_order_hop_key_fails_the_build() {
+        let mut rng = StdRng::seed_from_u64(10);
+        let good = *KeyPair::generate(&mut rng).public();
+        let bad = PublicKey::from_bytes([0u8; 32]);
+        for chain in [vec![bad], vec![good, bad], vec![bad, good]] {
+            assert!(matches!(
+                OnionUpdate::build(&params(), &chain, &mut rng),
+                Err(CascadeError::Seal { .. })
+            ));
         }
     }
 

@@ -100,22 +100,21 @@ impl MixnnTransport {
         let mixed: Vec<ModelParams> = match self.mode {
             TransportMode::Plaintext => self.proxy.mix_plaintext_round(params)?,
             TransportMode::Encrypted => {
-                // Sealing stays serialized (one RNG stands in for all
-                // participants' entropy); ingest fans out across the
-                // proxy's configured worker count, with the store stage
-                // committed in submission order — same result as the
-                // sequential loop at every worker count.
-                let sealed: Vec<Vec<u8>> = params
-                    .iter()
-                    .map(|p| {
-                        SealedBox::seal(
-                            &codec::encode_params_with(p, self.compression),
-                            self.proxy.public_key(),
-                            &mut self.participant_rng,
-                        )
+                // One RNG stands in for all participants' entropy: the
+                // round's ephemeral keys derive in one batch, drawn in
+                // slot order, so the envelopes equal slot-by-slot `seal`
+                // calls. Ingest fans out across the proxy's configured
+                // worker count, with the store stage committed in
+                // submission order — same result as the sequential loop
+                // at every worker count.
+                let recipients = vec![*self.proxy.public_key(); params.len()];
+                let sealed: Vec<Vec<u8>> =
+                    SealedBox::ephemerals(&recipients, &mut self.participant_rng)
                         .expect("attested enclave keys are never low-order")
-                    })
-                    .collect();
+                        .into_iter()
+                        .zip(&params)
+                        .map(|(eph, p)| eph.seal(&codec::encode_params_with(p, self.compression)))
+                        .collect();
                 let ingest = ParallelIngest::from_parallelism(self.proxy.parallelism());
                 let mut streamed = Vec::new();
                 for result in ingest.submit_all(&mut self.proxy, &sealed) {

@@ -18,10 +18,10 @@
 //!
 //! # The batched hot path
 //!
-//! Decryption dominates the proxy's per-round cost (§6.5), so the stack
-//! is built as batched kernels behind the scalar APIs — each one
-//! bit-identical to the scalar definition and pinned by the same RFC/FIPS
-//! vectors:
+//! Decryption dominates the proxy's per-round cost (§6.5), and sealing
+//! the client's, so the stack is built as batched kernels behind the
+//! scalar APIs — each one bit-identical to the scalar definition and
+//! pinned by the same RFC/FIPS vectors:
 //!
 //! * SHA-256 compresses all full blocks of an `update` in one multi-block
 //!   call and dispatches at runtime to the x86-64 SHA-NI kernel when the
@@ -31,9 +31,14 @@
 //!   a single HKDF-Extract plus three expands per envelope;
 //! * ChaCha20 generates four keystream blocks per widened quarter-round
 //!   pass on buffers ≥ 256 B ([`chacha20`]);
-//! * [`sealed_box::SealedBox::open_batch`] opens a round's envelopes
-//!   together, sharing the X25519 bit schedule and one Montgomery-trick
-//!   field inversion across the batch ([`x25519::x25519_batch`]).
+//! * [`x25519::x25519_many`] runs a scalar per point, eight per pass on
+//!   AVX-512 IFMA hosts, with one Montgomery-trick field inversion across
+//!   the batch. Both sealed-box sides use it:
+//!   [`sealed_box::SealedBox::ephemerals`] derives a batch's ephemeral
+//!   keys and shared secrets in one call (and [`SealedBox::seal`] is the
+//!   batch of one), and [`sealed_box::SealedBox::open_batch`] opens a
+//!   round's envelopes with the recipient scalar broadcast
+//!   ([`x25519::x25519_batch`]).
 //!
 //! # Contributory behavior
 //!
@@ -63,7 +68,7 @@ pub mod sha256;
 pub mod x25519;
 
 pub use error::CryptoError;
-pub use sealed_box::{KeyPair, PublicKey, SealedBox, SecretKey};
+pub use sealed_box::{Ephemeral, KeyPair, PublicKey, SealedBox, SecretKey};
 
 /// Constant-time equality of two byte slices.
 ///

@@ -14,13 +14,23 @@
 //!
 //! Wire layout: `eph_pub (32) ‖ tag (32) ‖ ciphertext`.
 //!
-//! Two properties worth calling out:
+//! Three properties worth calling out:
 //!
 //! * **Contributory behavior** (RFC 7748 §6.1): a low-order peer point
 //!   makes the X25519 output all-zero, and every key above would be
-//!   attacker-predictable. Both [`SealedBox::seal`] and
-//!   [`SealedBox::open`] reject the all-zero shared secret with
-//!   [`CryptoError::LowOrderPoint`].
+//!   attacker-predictable. Sealing ([`SealedBox::ephemerals`], and so
+//!   [`SealedBox::seal`]) and [`SealedBox::open`] reject the all-zero
+//!   shared secret with [`CryptoError::LowOrderPoint`].
+//! * **Batched sealing**: sealing runs in two phases. Steps 1–2 for a
+//!   whole batch happen in [`SealedBox::ephemerals`]: it draws one 32-byte
+//!   ephemeral secret per recipient from the RNG, in input order — exactly
+//!   the draws [`KeyPair::generate`] makes — and then runs every keygen
+//!   (against the base point) and every DH as one
+//!   [`x25519::x25519_many`] call. Steps 3–4 happen in
+//!   [`Ephemeral::seal`], which consumes its ephemeral so no key/nonce
+//!   pair can encrypt twice. [`SealedBox::seal`] is the batch of one, so
+//!   batched and one-at-a-time sealing draw the same randomness and emit
+//!   the same bytes.
 //! * **Batched opening**: [`SealedBox::open_batch`] opens many envelopes
 //!   addressed to one recipient, sharing the X25519 bit schedule and the
 //!   final field inversion across the batch ([`x25519::x25519_batch`]).
@@ -137,6 +147,16 @@ const INFO_MAC: &[u8] = b"mixnn sealed box v1 mac";
 /// let boxed = SealedBox::seal(b"model update", enclave.public(), &mut rng)?;
 /// let plain = SealedBox::open(&boxed, &enclave)?;
 /// assert_eq!(plain, b"model update");
+///
+/// // A batch: derive every ephemeral first, then seal each message.
+/// let messages: [&[u8]; 2] = [b"layer 0", b"layer 1"];
+/// let ephemerals = SealedBox::ephemerals(&[*enclave.public(); 2], &mut rng)?;
+/// let boxes: Vec<Vec<u8>> = ephemerals
+///     .into_iter()
+///     .zip(messages)
+///     .map(|(eph, msg)| eph.seal(msg))
+///     .collect();
+/// assert_eq!(SealedBox::open(&boxes[1], &enclave)?, b"layer 1");
 /// # Ok(())
 /// # }
 /// ```
@@ -147,6 +167,46 @@ struct DerivedKeys {
     cipher_key: [u8; 32],
     nonce: [u8; 12],
     mac_key: [u8; 32],
+}
+
+/// The ephemeral half of one sealed box, derived ahead of its plaintext by
+/// [`SealedBox::ephemerals`]: the ephemeral public key, the recipient,
+/// and their X25519 shared secret.
+///
+/// [`Ephemeral::seal`] consumes it, so one ephemeral can never encrypt
+/// two messages under the same key and nonce. It carries a shared secret,
+/// so the `Debug` impl redacts it.
+pub struct Ephemeral {
+    public: [u8; 32],
+    recipient: PublicKey,
+    shared: [u8; 32],
+}
+
+impl fmt::Debug for Ephemeral {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Ephemeral(redacted)")
+    }
+}
+
+impl Ephemeral {
+    /// The symmetric half of sealing: HKDF, ChaCha20 and HMAC over
+    /// `plaintext` under this ephemeral. The output is `OVERHEAD` bytes
+    /// longer than the input.
+    ///
+    /// The envelope is assembled in one buffer — `eph_pub ‖ tag slot ‖
+    /// plaintext` — and encrypted in place, so the plaintext is copied
+    /// exactly once.
+    pub fn seal(self, plaintext: &[u8]) -> Vec<u8> {
+        let keys = SealedBox::derive(&self.shared, &self.public, self.recipient.as_bytes());
+        let mut out = Vec::with_capacity(OVERHEAD + plaintext.len());
+        out.extend_from_slice(&self.public);
+        out.resize(OVERHEAD, 0);
+        out.extend_from_slice(plaintext);
+        chacha20::xor_keystream(&keys.cipher_key, &keys.nonce, 0, &mut out[OVERHEAD..]);
+        let tag = HmacKey::new(&keys.mac_key).mac_parts(&[&self.public, &out[OVERHEAD..]]);
+        out[32..OVERHEAD].copy_from_slice(&tag);
+        out
+    }
 }
 
 impl SealedBox {
@@ -170,8 +230,60 @@ impl SealedBox {
         }
     }
 
+    /// Derives one [`Ephemeral`] per recipient, in input order: the
+    /// asymmetric half of sealing a batch.
+    ///
+    /// Each ephemeral secret is one `rng.fill(&mut [u8; 32])` — the draw
+    /// [`KeyPair::generate`] makes — taken in input order before any
+    /// curve arithmetic. The 2n scalar multiplications (every ephemeral
+    /// public key against the base point, every shared secret against
+    /// its recipient) then run as one [`x25519::x25519_many`] call. Sealing
+    /// a batch therefore emits the same bytes, and leaves `rng` at the
+    /// same position, as sealing its messages one by one with
+    /// [`SealedBox::seal`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CryptoError::LowOrderPoint`] if any recipient is a
+    /// low-order point (the RFC 7748 §6.1 contributory-behavior check) —
+    /// sealing to it would yield attacker-predictable keys. Every secret
+    /// of the batch has been drawn by then, so on `Err` the RNG position
+    /// is not that of the equivalent sequence of `seal` calls.
+    pub fn ephemerals<R: Rng + ?Sized>(
+        recipients: &[PublicKey],
+        rng: &mut R,
+    ) -> Result<Vec<Ephemeral>, CryptoError> {
+        let n = recipients.len();
+        let mut scalars = Vec::with_capacity(2 * n);
+        for _ in 0..n {
+            let mut secret = [0u8; 32];
+            rng.fill(&mut secret);
+            scalars.push(secret);
+        }
+        scalars.extend_from_within(..);
+        let mut points = vec![x25519::BASEPOINT; n];
+        points.extend(recipients.iter().map(|r| *r.as_bytes()));
+        let out = x25519::x25519_many(&scalars, &points);
+        let (publics, shareds) = out.split_at(n);
+        if shareds.contains(&[0u8; 32]) {
+            return Err(CryptoError::LowOrderPoint);
+        }
+        Ok(publics
+            .iter()
+            .zip(shareds)
+            .zip(recipients)
+            .map(|((&public, &shared), &recipient)| Ephemeral {
+                public,
+                recipient,
+                shared,
+            })
+            .collect())
+    }
+
     /// Encrypts `plaintext` to `recipient`, drawing ephemeral key material
-    /// from `rng`. The output is `OVERHEAD` bytes longer than the input.
+    /// from `rng`: the batch of one ([`SealedBox::ephemerals`] followed by
+    /// [`Ephemeral::seal`]). The output is `OVERHEAD` bytes longer than
+    /// the input.
     ///
     /// # Errors
     ///
@@ -183,23 +295,10 @@ impl SealedBox {
         recipient: &PublicKey,
         rng: &mut R,
     ) -> Result<Vec<u8>, CryptoError> {
-        let eph = KeyPair::generate(rng);
-        let shared = x25519::x25519(eph.secret().as_bytes(), recipient.as_bytes());
-        if shared == [0u8; 32] {
-            return Err(CryptoError::LowOrderPoint);
-        }
-        let keys = Self::derive(&shared, eph.public().as_bytes(), recipient.as_bytes());
-
-        let mut ciphertext = plaintext.to_vec();
-        chacha20::xor_keystream(&keys.cipher_key, &keys.nonce, 0, &mut ciphertext);
-
-        let tag = HmacKey::new(&keys.mac_key).mac_parts(&[eph.public().as_bytes(), &ciphertext]);
-
-        let mut out = Vec::with_capacity(OVERHEAD + ciphertext.len());
-        out.extend_from_slice(eph.public().as_bytes());
-        out.extend_from_slice(&tag);
-        out.extend_from_slice(&ciphertext);
-        Ok(out)
+        let [eph]: [Ephemeral; 1] = Self::ephemerals(std::slice::from_ref(recipient), rng)?
+            .try_into()
+            .expect("one ephemeral per recipient");
+        Ok(eph.seal(plaintext))
     }
 
     /// Decrypts a sealed box with the recipient's key pair.
@@ -447,6 +546,36 @@ mod tests {
         assert!(
             !s.contains(&format!("{:?}", kp.secret().as_bytes())),
             "Debug output must not render the key bytes"
+        );
+    }
+
+    #[test]
+    fn ephemeral_debug_is_redacted() {
+        let (kp, mut rng) = recipient();
+        let eph = SealedBox::ephemerals(&[*kp.public()], &mut rng)
+            .unwrap()
+            .pop()
+            .unwrap();
+        let s = format!("{eph:?}");
+        assert!(s.contains("redacted"));
+        assert!(!s.contains(&format!("{:?}", eph.shared)));
+        assert!(!s.contains(&format!("{:?}", eph.public)));
+    }
+
+    #[test]
+    fn ephemeral_public_key_matches_its_secret() {
+        // The batched keygen against the base point must equal the scalar
+        // `KeyPair::generate` over the same draw.
+        let (kp, rng) = recipient();
+        let eph = SealedBox::ephemerals(&[*kp.public()], &mut rng.clone())
+            .unwrap()
+            .pop()
+            .unwrap();
+        let expected = KeyPair::generate(&mut rng.clone());
+        assert_eq!(&eph.public, expected.public().as_bytes());
+        assert_eq!(
+            eph.shared,
+            crate::x25519::x25519(expected.secret().as_bytes(), kp.public().as_bytes())
         );
     }
 

@@ -11,13 +11,19 @@
 //! (10 wide multiplies instead of the generic 25) feeds both the ladder
 //! — whose per-bit step is square-heavy — and the addition-chain
 //! `Fe::invert` (254 squarings + 11 multiplications, down from the
-//! naive Fermat loop's 255 + 128). [`x25519_batch`] amortizes further:
-//! one fixed scalar against many points shares a single clamp and bit
-//! schedule, and Montgomery's trick folds the per-point final inversion
-//! into one inversion plus three multiplications per point. On AVX-512
-//! IFMA hosts the shared bit schedule also unlocks an eight-lane
-//! `vpmadd52` ladder kernel (the private `ifma` module), bit-identical
-//! to the scalar path.
+//! naive Fermat loop's 255 + 128).
+//!
+//! [`x25519_many`] is the one batch entry point: a scalar per point, with
+//! Montgomery's trick folding the per-point final inversion into one
+//! inversion plus three multiplications per point. On AVX-512 IFMA hosts
+//! it runs eight pairs per pass through a `vpmadd52` ladder kernel (the
+//! private `ifma` module) whose swap masks are built per lane from each
+//! lane's own scalar bit, bit-identical to the scalar path. Both sides of
+//! the sealed box ride on it: sealing derives every ephemeral public key
+//! (against [`BASEPOINT`]) and every shared secret of a batch in one call,
+//! and opening broadcasts the recipient secret over a round's ephemeral
+//! points ([`x25519_batch`]). Batches below the kernel's threshold, and
+//! hosts without IFMA, take the scalar ladder.
 
 /// Length of scalars, points and shared secrets in bytes.
 pub const KEY_LEN: usize = 32;
@@ -325,45 +331,55 @@ pub fn x25519(scalar: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     x2.mul(&z2.invert()).to_bytes()
 }
 
-/// Batched X25519: one (clamped-once) scalar against many points, as the
-/// sealed box uses it to derive a round's shared secrets from one
-/// recipient secret and many ephemeral points.
+/// Batched X25519: one scalar per point, as the sealed box uses it to
+/// derive a whole round's ephemeral keys and shared secrets at once.
 ///
-/// The per-point final inversion — the single most expensive field
-/// operation — is shared across the batch with Montgomery's trick
-/// (`batch_invert`). Outputs are bit-identical to calling [`x25519`]
-/// per point: the batched inverses are the same field elements, and
-/// serialization is canonical.
+/// On AVX-512 IFMA hosts the points run eight at a time through one
+/// vector ladder, each lane with its own clamped scalar (the private
+/// `ifma` module); short batches and other hosts take the scalar ladder.
+/// Either way the per-point final inversion — the single most expensive
+/// field operation — is shared across the batch with Montgomery's trick
+/// (`batch_invert`). Outputs are bit-identical to calling [`x25519`] per
+/// pair: the ladders compute the same projective points, the batched
+/// inverses are the same field elements, and serialization is canonical.
 ///
 /// Note the batch inversion branches on which `z` coordinates are zero
 /// (public information once the all-zero outputs are rejected by the
-/// caller's contributory-behavior check); the per-point ladder itself
-/// stays branch-free in the scalar bits.
-pub fn x25519_batch(scalar: &[u8; KEY_LEN], points: &[[u8; KEY_LEN]]) -> Vec<[u8; KEY_LEN]> {
-    let k = clamp(scalar);
+/// caller's contributory-behavior check); the ladders themselves stay
+/// branch-free in the scalar bits.
+///
+/// # Panics
+///
+/// Panics if `scalars` and `points` differ in length.
+pub fn x25519_many(scalars: &[[u8; KEY_LEN]], points: &[[u8; KEY_LEN]]) -> Vec<[u8; KEY_LEN]> {
+    assert_eq!(scalars.len(), points.len(), "one scalar per point");
+    let ks: Vec<[u8; KEY_LEN]> = scalars.iter().map(clamp).collect();
     let mut xs = Vec::with_capacity(points.len());
     let mut zs = Vec::with_capacity(points.len());
-    let mut rest = points;
-    // On AVX-512 IFMA hosts, run the shared-scalar ladder eight points at
-    // a time (padding a short final group with the base point — same pass
-    // cost, surplus lanes discarded). Tails too small to pay for a padded
-    // pass fall through to the scalar ladder below.
+    let mut done = 0;
+    // On IFMA hosts, run the ladder eight pairs at a time, padding a short
+    // final group with copies of its first pair (same pass cost, surplus
+    // lanes discarded). Tails too small to pay for a padded pass fall
+    // through to the scalar ladder below.
     #[cfg(target_arch = "x86_64")]
     if ifma::available() {
-        while rest.len() >= ifma::MIN_POINTS {
-            let n = rest.len().min(ifma::LANES);
-            let mut lanes = [BASEPOINT; ifma::LANES];
-            lanes[..n].copy_from_slice(&rest[..n]);
-            let out = unsafe { ifma::ladder8(&k, &lanes) };
+        while points.len() - done >= ifma::MIN_POINTS {
+            let n = (points.len() - done).min(ifma::LANES);
+            let mut k_lanes = [ks[done]; ifma::LANES];
+            let mut p_lanes = [points[done]; ifma::LANES];
+            k_lanes[..n].copy_from_slice(&ks[done..done + n]);
+            p_lanes[..n].copy_from_slice(&points[done..done + n]);
+            // SAFETY: `ifma::available()` confirmed AVX-512 F/DQ/IFMA.
+            let out = unsafe { ifma::ladder8(&k_lanes, &p_lanes) };
             for &(x2, z2) in out.iter().take(n) {
                 xs.push(x2);
                 zs.push(z2);
             }
-            rest = &rest[n..];
+            done += n;
         }
     }
-    for point in rest {
-        let (x2, z2) = ladder(&k, point);
+    for (k, point) in ks[done..].iter().zip(&points[done..]) {
+        let (x2, z2) = ladder(k, point);
         xs.push(x2);
         zs.push(z2);
     }
@@ -374,9 +390,16 @@ pub fn x25519_batch(scalar: &[u8; KEY_LEN], points: &[[u8; KEY_LEN]]) -> Vec<[u8
         .collect()
 }
 
+/// Batched X25519 with one scalar against many points, as the sealed box
+/// opens a round's envelopes with one recipient secret: [`x25519_many`]
+/// with the scalar broadcast to every point.
+pub fn x25519_batch(scalar: &[u8; KEY_LEN], points: &[[u8; KEY_LEN]]) -> Vec<[u8; KEY_LEN]> {
+    x25519_many(&vec![*scalar; points.len()], points)
+}
+
 /// The Montgomery ladder core: projective `(x, z)` of `k · point` for an
 /// already-clamped scalar, leaving the final inversion to the caller
-/// (immediate for [`x25519`], batched for [`x25519_batch`]).
+/// (immediate for [`x25519`], batched for [`x25519_many`]).
 fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
     let x1 = Fe::from_bytes(point);
     let mut x2 = Fe::ONE;
@@ -414,9 +437,10 @@ fn ladder(k: &[u8; KEY_LEN], point: &[u8; KEY_LEN]) -> (Fe, Fe) {
 
 /// AVX-512 IFMA eight-point Montgomery ladder.
 ///
-/// [`x25519_batch`] runs one clamped scalar against many points, so the
-/// ladder's branch-free swap schedule is identical across points — eight
-/// of them fit the 512-bit `vpmadd52` lanes in lockstep. Lane field
+/// The ladder runs the same field operations at every step whatever the
+/// scalar, so eight (scalar, point) pairs fit the 512-bit `vpmadd52`
+/// lanes in lockstep; only the conditional swaps differ, and their masks
+/// are built per lane from each lane's own scalar bit. Lane field
 /// elements use radix-2⁴³ (six limbs): `vpmadd52` truncates operands to
 /// 52 bits, and the nine bits of headroom above a carried 43-bit limb let
 /// one add/sub level feed a multiplication directly — only multiply
@@ -435,9 +459,12 @@ mod ifma {
 
     /// Points processed per ladder pass.
     pub const LANES: usize = 8;
-    /// Smallest batch worth a (padded) vector pass: one pass costs about
-    /// two scalar ladders, so below four real points the scalar loop wins.
-    pub const MIN_POINTS: usize = 4;
+    /// Smallest batch worth a (padded) vector pass. One pass costs about
+    /// 1.5 scalar ladders (min of 40 × 50 runs on an AVX-512 IFMA Xeon:
+    /// 75 µs, against 47–50 µs for one ladder + inversion), so two points
+    /// already win — 74.5 µs against 92 µs on the scalar path — and a
+    /// single seal's keygen + DH pair takes the vector pass.
+    pub const MIN_POINTS: usize = 2;
 
     const MASK43: u64 = (1 << 43) - 1;
     /// 2²⁵⁸ mod p = 8 · 19.
@@ -531,8 +558,48 @@ mod ifma {
                 hi[i + j + 1] = _mm512_madd52hi_epu64(hi[i + j + 1], a.0[i], b.0[j]);
             }
         }
+        reduce(&lo, &hi)
+    }
+
+    /// Dedicated squaring: each cross product `aᵢ·aⱼ` (i < j) is taken
+    /// once against the doubled limb `2aⱼ` (< 2⁴⁷, inside `vpmadd52`'s
+    /// 52-bit operand window), so 21 products replace 36 — 42 `vpmadd52`
+    /// instead of 72. At most three products meet at any position, with
+    /// high halves below 2⁴¹, so every sum stays inside [`mul`]'s bounds.
+    /// The limbs may differ from `mul(a, a)`'s, but the field element is
+    /// the same, and lane outputs serialize canonically.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/DQ/IFMA, i.e. [`available`] returned `true`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn square(a: &FeV) -> FeV {
+        let zero = _mm512_setzero_si512();
+        let mut lo = [zero; 12];
+        let mut hi = [zero; 12];
+        for i in 0..6 {
+            let (x, d) = (a.0[i], _mm512_add_epi64(a.0[i], a.0[i]));
+            lo[2 * i] = _mm512_madd52lo_epu64(lo[2 * i], x, x);
+            hi[2 * i + 1] = _mm512_madd52hi_epu64(hi[2 * i + 1], x, x);
+            for j in i + 1..6 {
+                lo[i + j] = _mm512_madd52lo_epu64(lo[i + j], a.0[j], d);
+                hi[i + j + 1] = _mm512_madd52hi_epu64(hi[i + j + 1], a.0[j], d);
+            }
+        }
+        reduce(&lo, &hi)
+    }
+
+    /// Recombines split product accumulators — a position-`p` high half
+    /// weighs 2⁹ of position `p` — folds positions ≥ 6 by 2²⁵⁸ ≡ 152,
+    /// and carries.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512 F/DQ/IFMA, i.e. [`available`] returned `true`.
+    #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
+    unsafe fn reduce(lo: &[__m512i; 12], hi: &[__m512i; 12]) -> FeV {
         let fold = splat(FOLD);
-        let mut r = [zero; 6];
+        let mut r = [_mm512_setzero_si512(); 6];
         for (k, r) in r.iter_mut().enumerate() {
             let at = |p: usize| _mm512_add_epi64(lo[p], _mm512_slli_epi64::<9>(hi[p]));
             *r = _mm512_add_epi64(at(k), _mm512_mullo_epi64(at(k + 6), fold));
@@ -550,8 +617,8 @@ mod ifma {
         carry(r)
     }
 
-    /// Branch-free swap of all lanes at once — the scalar bit, and so the
-    /// mask, is shared by every lane.
+    /// Branch-free per-lane swap: lanes whose `mask` is all ones swap,
+    /// lanes whose mask is zero keep their values.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
     unsafe fn cswap(mask: __m512i, a: &mut FeV, b: &mut FeV) {
         for (a, b) in a.0.iter_mut().zip(b.0.iter_mut()) {
@@ -586,16 +653,19 @@ mod ifma {
         Fe::carry(r)
     }
 
-    /// The Montgomery ladder over eight points sharing one pre-clamped
-    /// scalar. Returns each lane's projective `(x, z)` for the caller's
-    /// batched inversion; outputs equal the scalar [`super::ladder`]
-    /// lane-for-lane.
+    /// The Montgomery ladder over eight points, each with its own
+    /// pre-clamped scalar. Returns each lane's projective `(x, z)` for the
+    /// caller's batched inversion; outputs equal the scalar
+    /// [`super::ladder`] lane-for-lane.
     ///
     /// # Safety
     ///
     /// Requires AVX-512 F/DQ/IFMA, i.e. [`available`] returned `true`.
     #[target_feature(enable = "avx512f,avx512dq,avx512ifma")]
-    pub unsafe fn ladder8(k: &[u8; KEY_LEN], points: &[[u8; KEY_LEN]; LANES]) -> [(Fe, Fe); LANES] {
+    pub unsafe fn ladder8(
+        ks: &[[u8; KEY_LEN]; LANES],
+        points: &[[u8; KEY_LEN]; LANES],
+    ) -> [(Fe, Fe); LANES] {
         let mut lanes = [[0u64; LANES]; 6];
         for (lane, point) in points.iter().enumerate() {
             for (limbs, &limb) in lanes.iter_mut().zip(&point_limbs(point)) {
@@ -605,38 +675,49 @@ mod ifma {
         let x1 = FeV(core::array::from_fn(|i| {
             _mm512_loadu_si512(lanes[i].as_ptr().cast())
         }));
+        // Scalar word `w` of every lane, so bit `t` of all eight scalars
+        // is one variable shift away.
+        let words: [__m512i; 4] = core::array::from_fn(|w| {
+            let lane_words: [u64; LANES] = core::array::from_fn(|lane| {
+                u64::from_le_bytes(ks[lane][8 * w..8 * w + 8].try_into().expect("8 bytes"))
+            });
+            _mm512_loadu_si512(lane_words.as_ptr().cast())
+        });
+        let one = splat(1);
+        let zero = _mm512_setzero_si512();
 
         let mut x2 = fev_splat(1);
         let mut z2 = fev_splat(0);
         let mut x3 = x1;
         let mut z3 = fev_splat(1);
-        let mut swap = 0u64;
+        let mut swap = zero;
 
         for t in (0..255).rev() {
-            let k_t = u64::from((k[t / 8] >> (t % 8)) & 1);
-            swap ^= k_t;
-            let mask = splat(0u64.wrapping_sub(swap));
+            let k_t = _mm512_and_si512(
+                _mm512_srlv_epi64(words[t / 64], splat((t % 64) as u64)),
+                one,
+            );
+            swap = _mm512_xor_si512(swap, k_t);
+            let mask = _mm512_sub_epi64(zero, swap);
             cswap(mask, &mut x2, &mut x3);
             cswap(mask, &mut z2, &mut z3);
             swap = k_t;
 
             let a = add(&x2, &z2);
-            let aa = mul(&a, &a);
+            let aa = square(&a);
             let b = sub(&x2, &z2);
-            let bb = mul(&b, &b);
+            let bb = square(&b);
             let e = sub(&aa, &bb);
             let c = add(&x3, &z3);
             let d = sub(&x3, &z3);
             let da = mul(&d, &a);
             let cb = mul(&c, &b);
-            let s = add(&da, &cb);
-            x3 = mul(&s, &s);
-            let f = sub(&da, &cb);
-            z3 = mul(&x1, &mul(&f, &f));
+            x3 = square(&add(&da, &cb));
+            z3 = mul(&x1, &square(&sub(&da, &cb)));
             x2 = mul(&aa, &bb);
             z2 = mul(&e, &add(&aa, &mul_small(&e, A24)));
         }
-        let mask = splat(0u64.wrapping_sub(swap));
+        let mask = _mm512_sub_epi64(zero, swap);
         cswap(mask, &mut x2, &mut x3);
         cswap(mask, &mut z2, &mut z3);
 
@@ -862,15 +943,33 @@ mod tests {
         // IFMA host: below MIN_POINTS (all scalar), exactly one padded
         // group, a full group, full group + scalar tail, full group +
         // padded group. On other hosts this degenerates to scalar-vs-
-        // scalar, which must still agree.
+        // scalar, which must still agree. Run it twice: one scalar
+        // broadcast to every lane (`x25519_batch`), and a distinct scalar
+        // per lane (`x25519_many`), including both swap-schedule extremes
+        // (all bits clear below the clamp, all bits set).
         let secret = [0x2du8; 32];
+        let scalars: Vec<[u8; 32]> = (0u8..21)
+            .map(|i| match i {
+                4 => [0u8; 32],
+                9 => [0xffu8; 32],
+                _ => [i.wrapping_mul(71).wrapping_add(5); 32],
+            })
+            .collect();
         let points: Vec<[u8; 32]> = (0u8..21)
             .map(|i| public_key(&[i.wrapping_mul(29).wrapping_add(3); 32]))
             .collect();
-        for len in [1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 16, 17, 21] {
+        for len in [0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 11, 12, 16, 17, 21] {
             let batched = x25519_batch(&secret, &points[..len]);
-            for (point, out) in points[..len].iter().zip(&batched) {
-                assert_eq!(*out, x25519(&secret, point), "batch len {len}");
+            let many = x25519_many(&scalars[..len], &points[..len]);
+            assert_eq!(batched.len(), len);
+            assert_eq!(many.len(), len);
+            for i in 0..len {
+                assert_eq!(batched[i], x25519(&secret, &points[i]), "batch len {len}");
+                assert_eq!(
+                    many[i],
+                    x25519(&scalars[i], &points[i]),
+                    "many len {len} lane {i}"
+                );
             }
         }
     }
@@ -880,7 +979,9 @@ mod tests {
         // Non-canonical and boundary u-coordinates exercise the top-bit
         // masking and reduction of the wide ladder: p − 1, p, p + 1, the
         // all-ones string (top bit set), and 2²⁵⁵ − 1 − 19 ≡ p via the
-        // dropped bit.
+        // dropped bit. Each point runs under the shared scalar and under
+        // its own, so low-order and boundary lanes sit next to lanes with
+        // different swap schedules.
         let secret = [0x91u8; 32];
         let points = [
             unhex32("ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f"),
@@ -890,10 +991,22 @@ mod tests {
             BASEPOINT,
             [0u8; 32],
         ];
+        let scalars: Vec<[u8; 32]> = (0u8..6)
+            .map(|i| [0x17u8 ^ i.wrapping_mul(0x35); 32])
+            .collect();
         let batched = x25519_batch(&secret, &points);
-        for (point, out) in points.iter().zip(&batched) {
-            assert_eq!(*out, x25519(&secret, point));
+        let many = x25519_many(&scalars, &points);
+        for (i, point) in points.iter().enumerate() {
+            assert_eq!(batched[i], x25519(&secret, point));
+            assert_eq!(many[i], x25519(&scalars[i], point));
         }
+        assert_eq!(many[5], [0u8; 32], "low-order lane collapses to zero");
+    }
+
+    #[test]
+    #[should_panic(expected = "one scalar per point")]
+    fn many_rejects_mismatched_lengths() {
+        x25519_many(&[[1u8; 32]], &[]);
     }
 
     #[test]

@@ -248,3 +248,45 @@ fn chacha20_rfc8439_sunscreen_encryption() {
     chacha20::xor_keystream(&key, &nonce, 1, &mut data);
     assert!(data.starts_with(b"Ladies and Gentlemen"));
 }
+
+// ---------------------------------------------------------------------------
+// Sealed box — golden wire stream
+// ---------------------------------------------------------------------------
+
+/// Pins the exact bytes of a seeded `seal` stream and the RNG position it
+/// leaves behind. Sealing draws one 32-byte ephemeral secret per envelope
+/// in call order, so any change to the draw order, the X25519 kernels
+/// (vector or scalar fallback) or the symmetric layer shows up here — on
+/// every host, IFMA or not. The digest was computed before sealing was
+/// batched and must never change.
+///
+/// Only successful seals are pinned: a failing batch (a low-order
+/// recipient) draws every ephemeral of the batch before it reports the
+/// error, so the RNG position after an `Err` is not part of the contract.
+#[test]
+fn sealed_box_seeded_stream_golden_digest() {
+    use mixnn_crypto::{KeyPair, SealedBox};
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
+
+    let mut rng = StdRng::seed_from_u64(0x5ea1_0001);
+    let recipients: Vec<KeyPair> = (0..3).map(|_| KeyPair::generate(&mut rng)).collect();
+    let mut hasher = sha256::Sha256::new();
+    for i in 0..200usize {
+        // Lengths straddle the 64 B ChaCha20 block and 256 B quad-batch
+        // boundaries, plus a few multi-KiB envelopes.
+        let len = match i % 10 {
+            9 => 1024 + i * 13,
+            _ => (i * 37) % 300,
+        };
+        let msg: Vec<u8> = (0..len).map(|_| rng.gen()).collect();
+        let to = &recipients[i % recipients.len()];
+        let sealed = SealedBox::seal(&msg, to.public(), &mut rng).unwrap();
+        hasher.update(&sealed);
+    }
+    hasher.update(&rng.next_u64().to_le_bytes());
+    assert_eq!(
+        hex(&hasher.finalize()),
+        "bf07029f87b097408ba26a31e3e16fa4b3644b2b3c90013aed9627feb3f49666"
+    );
+}

@@ -185,16 +185,14 @@ impl NetMixnnTransport {
     /// Proxy rejections surface as [`FlError::Transport`]; wire timeouts
     /// as [`FlError::Timeout`].
     pub fn relay_round(&mut self, params: Vec<ModelParams>) -> Result<Vec<ModelParams>, FlError> {
-        let sealed: Vec<Vec<u8>> = params
-            .iter()
-            .map(|p| {
-                SealedBox::seal(
-                    &codec::encode_params_with(p, self.compression),
-                    self.proxy.public_key(),
-                    &mut self.participant_rng,
-                )
-                .expect("attested enclave keys are never low-order")
-            })
+        // The round's ephemeral keys derive in one batch, drawn in slot
+        // order: the same envelopes as slot-by-slot `seal` calls.
+        let recipients = vec![*self.proxy.public_key(); params.len()];
+        let sealed: Vec<Vec<u8>> = SealedBox::ephemerals(&recipients, &mut self.participant_rng)
+            .expect("attested enclave keys are never low-order")
+            .into_iter()
+            .zip(&params)
+            .map(|(eph, p)| eph.seal(&codec::encode_params_with(p, self.compression)))
             .collect();
         let delivered = self
             .link

@@ -32,6 +32,7 @@ pub struct Registry {
     distributions: Vec<Histogram>,
     spans: Vec<Histogram>,
     trace: Mutex<RoundTrace>,
+    hook_calls: AtomicU64,
 }
 
 impl std::fmt::Debug for Registry {
@@ -60,7 +61,14 @@ impl Registry {
                 .map(|_| Histogram::new(&LATENCY_NS_BOUNDS))
                 .collect(),
             trace: Mutex::new(RoundTrace::default()),
+            hook_calls: AtomicU64::new(0),
         }
+    }
+
+    /// Counts one recording call that got past the enabled check.
+    #[inline]
+    fn count_hook(&self) {
+        self.hook_calls.fetch_add(1, Ordering::Relaxed);
     }
 
     /// An enabled registry on the wall clock.
@@ -122,6 +130,7 @@ impl Registry {
         if !self.enabled() {
             return;
         }
+        self.count_hook();
         self.counters[counter.index()].fetch_add(by, Ordering::Relaxed);
     }
 
@@ -131,6 +140,7 @@ impl Registry {
         if !self.enabled() {
             return;
         }
+        self.count_hook();
         self.gauges[gauge.index()].fetch_max(value, Ordering::Relaxed);
     }
 
@@ -140,6 +150,7 @@ impl Registry {
         if !self.enabled() {
             return;
         }
+        self.count_hook();
         self.distributions[distribution.index()].observe(value);
     }
 
@@ -149,14 +160,17 @@ impl Registry {
         if !self.enabled() {
             return;
         }
+        self.count_hook();
         self.spans[span.index()].observe(ns);
     }
 
     /// Starts a span; the returned guard records the duration on drop.
+    /// The guard counts as one hook call.
     pub fn span(self: &Arc<Self>, span: Span) -> SpanGuard {
         if !self.enabled() {
             return SpanGuard { active: None };
         }
+        self.count_hook();
         SpanGuard {
             active: Some((Arc::clone(self), span, self.now_ns())),
         }
@@ -171,6 +185,7 @@ impl Registry {
         if !self.enabled() {
             return;
         }
+        self.count_hook();
         let event = TraceEvent {
             at_ns: self.now_ns(),
             component,
@@ -195,6 +210,14 @@ impl Registry {
     /// The rendered trace journal.
     pub fn trace_text(&self) -> String {
         self.trace.lock().expect("trace journal poisoned").render()
+    }
+
+    /// Recording calls this registry has taken while enabled, over every
+    /// hook kind (a span guard counts once). Not an exported series: it
+    /// is what the hook-overhead estimate of `eval throughput` multiplies
+    /// by a microbenchmarked per-call cost.
+    pub fn hook_calls(&self) -> u64 {
+        self.hook_calls.load(Ordering::Relaxed)
     }
 
     /// Reads one counter (tests and report plumbing).
@@ -279,7 +302,7 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some((registry, span, start_ns)) = self.active.take() {
             let elapsed = registry.now_ns().saturating_sub(start_ns);
-            registry.record_span_ns(span, elapsed);
+            registry.spans[span.index()].observe(elapsed);
         }
     }
 }
@@ -347,6 +370,24 @@ mod tests {
         let events = reg.trace_events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].at_ns, 77);
+    }
+
+    #[test]
+    fn hook_calls_count_every_recording_kind_once() {
+        let hooks = |reg: &Telemetry| {
+            reg.incr(Counter::CoreUpdatesCommitted, 5);
+            reg.gauge_max(Gauge::NetPeakSendQueue, 9);
+            reg.observe(Distribution::CoreMixBatchUpdates, 3);
+            reg.record_span_ns(Span::CoreMixBatch, 100);
+            drop(reg.span(Span::FlRound));
+            reg.trace(Component::Core, None, TraceKind::HopSkipped);
+        };
+        let reg = Registry::with_virtual_clock(VirtualClock::new()).shared();
+        hooks(&reg);
+        assert_eq!(reg.hook_calls(), 6);
+        let off = noop();
+        hooks(&off);
+        assert_eq!(off.hook_calls(), 0);
     }
 
     #[test]
